@@ -215,18 +215,13 @@ class SolarModel:
     seasonal_amplitude: float = 0.25
     clouds: Optional[CloudProcess] = None
 
-    #: Bounded memo sizes; cleared-and-rebuilt on overflow.  Instantaneous
-    #: power is keyed per evaluation time (all nodes sharing this regional
-    #: model hit the same window midpoints, so each unique time is
-    #: computed once per deployment instead of once per node).
-    POWER_CACHE_LIMIT = 131072
+    #: Bounded memo sizes; cleared-and-rebuilt on overflow.
     WINDOW_CACHE_LIMIT = 4096
     DAILY_CACHE_LIMIT = 16384
 
     def __post_init__(self) -> None:
         if self.peak_watts <= 0:
             raise ConfigurationError("peak_watts must be positive")
-        self._power_cache: dict = {}
         self._window_cache: dict = {}
         self._daily_cache: dict = {}
 
@@ -252,9 +247,6 @@ class SolarModel:
 
     def power_watts(self, time_s: float) -> float:
         """Instantaneous panel output power at ``time_s``."""
-        cached = self._power_cache.get(time_s)
-        if cached is not None:
-            return cached
         envelope = clear_sky_factor(
             time_s,
             sunrise_hour=self.sunrise_hour,
@@ -262,14 +254,9 @@ class SolarModel:
             seasonal_amplitude=self.seasonal_amplitude,
         )
         if envelope == 0.0:
-            power = 0.0
-        else:
-            cloud = self.clouds.factor(time_s) if self.clouds is not None else 1.0
-            power = self.peak_watts * envelope * cloud
-        if len(self._power_cache) >= self.POWER_CACHE_LIMIT:
-            self._power_cache.clear()
-        self._power_cache[time_s] = power
-        return power
+            return 0.0
+        cloud = self.clouds.factor(time_s) if self.clouds is not None else 1.0
+        return self.peak_watts * envelope * cloud
 
     def power_watts_batch(self, times_s: np.ndarray) -> np.ndarray:
         """Panel output for an array of times in one array expression.

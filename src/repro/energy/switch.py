@@ -119,20 +119,9 @@ class SoftwareDefinedSwitch:
             battery.settle(window_end_s)
 
         if shortfall > 1e-12:
-            if self._trace is not None:
-                self._trace.emit(
-                    window_end_s,
-                    "energy",
-                    "energy.brownout",
-                    severity="warning",
-                    node_id=self._trace_node,
-                    shortfall_j=shortfall,
-                    demand_j=demand_j,
-                    harvested_j=harvested_j,
-                    soc=battery.soc,
-                )
-            if self._on_brownout is not None:
-                self._on_brownout(shortfall)
+            self.report_brownout(
+                window_end_s, shortfall, demand_j, harvested_j, battery.soc
+            )
 
         return WindowEnergyResult(
             green_used_j=green_used,
@@ -141,6 +130,35 @@ class SoftwareDefinedSwitch:
             spilled_j=spilled,
             shortfall_j=shortfall,
         )
+
+    def report_brownout(
+        self,
+        window_end_s: float,
+        shortfall_j: float,
+        demand_j: float,
+        harvested_j: float,
+        soc: float,
+    ) -> None:
+        """Publish one brown-out window: trace event, then the hook.
+
+        :meth:`apply_window` calls it for its own window; the fused
+        settle pass returns its brown-out chunks and the caller replays
+        each through here, in chunk order.
+        """
+        if self._trace is not None:
+            self._trace.emit(
+                window_end_s,
+                "energy",
+                "energy.brownout",
+                severity="warning",
+                node_id=self._trace_node,
+                shortfall_j=shortfall_j,
+                demand_j=demand_j,
+                harvested_j=harvested_j,
+                soc=soc,
+            )
+        if self._on_brownout is not None:
+            self._on_brownout(shortfall_j)
 
     def can_sustain(
         self, battery: Battery, harvested_j: float, demand_j: float

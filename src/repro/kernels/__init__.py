@@ -1,11 +1,21 @@
 """Hot-loop kernel layer with optional Numba JIT (``repro.kernels``).
 
-The vectorized mesoscopic engine spends its residual wall time in a
-handful of scalar loops whose float-operation *order* is part of the
-bit-identity contract: the per-chunk settle recurrence, the streaming
-rainflow replay, and the order-sensitive interference capture inside the
-window resolver.  This package packages those loops as **kernels** with
-two interchangeable backends:
+The simulator spends its residual wall time in a handful of scalar
+loops whose float-operation *order* is part of the bit-identity
+contract.  This package packages those loops as named **kernels**:
+
+* ``settle.recurrence`` — the fused settle pass both engines run: per
+  chunk, the switch energy balance, the θ/ψ_max charge limit, the SoC
+  bound check, the trace integral and monotone-run merge, and the
+  streaming-rainflow push, mutating the battery in place.  It walks
+  Python objects (the SoC trace lists, the rainflow stack and its cycle
+  callback), so it is plain Python on every backend.
+* ``shading.gather`` — per-node shading factors for a batch of grid
+  indices.
+* ``contention.round_ok`` — the order-sensitive interference capture
+  scan inside the window resolver.
+
+The array kernels have two interchangeable backends:
 
 * ``numba`` — ``@njit`` compiled loops (optional dependency, see the
   ``repro[jit]`` extra).  Numba's default IEEE semantics (no fastmath)
@@ -136,7 +146,7 @@ def emit_startup_notice(trace) -> bool:
     return True
 
 
-from . import contention, rainflow, settle, shading  # noqa: E402
+from . import contention, settle, shading  # noqa: E402
 
 __all__ = [
     "BACKEND",
@@ -145,7 +155,6 @@ __all__ = [
     "consume_startup_notice",
     "contention",
     "emit_startup_notice",
-    "rainflow",
     "settle",
     "shading",
     "startup_notice",

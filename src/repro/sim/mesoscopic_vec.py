@@ -13,8 +13,10 @@ stream with three batched kernels:
   later), so the batch pop sees exactly the events the scalar loop would.
 * **Batched settling** — chunk plans for a whole batch are evaluated
   through one shared :meth:`SolarModel.power_watts_batch` call plus
-  per-node shading gathers; the switch/battery arithmetic is applied
-  with the exact scalar operation order (see ``_apply_chunks``).
+  per-node shading gathers; each node's chunks then go through one call
+  of the fused settle pass :func:`repro.kernels.settle.recurrence`
+  (switch, battery, SoC trace and rainflow in the scalar operation
+  order), the same pass the exact engine settles through.
 * **Batched Algorithm 1** — :func:`repro.core.mac.batch_choose_windows`
   scores a node × window matrix per period-length cohort.
 
@@ -37,9 +39,7 @@ import numpy as np
 from ..checkpoint.interrupt import stop_requested
 from ..constants import SECONDS_PER_YEAR
 from ..core.mac import batch_choose_windows_mixed
-from ..exceptions import ConfigurationError
 from ..kernels import contention as kcontention
-from ..kernels import rainflow as krainflow
 from ..kernels import settle as ksettle
 from ..kernels import shading as kshading
 from .mesoscopic import (
@@ -79,7 +79,7 @@ def _settle_items(
 
     Chunk plans for every item are laid out first, the shared solar
     power is evaluated once for all chunk midpoints, then each node's
-    chunks are applied with the scalar switch/battery arithmetic.
+    chunks go through one fused settle pass.
     Cross-node work is order-independent (each node only touches its own
     battery/harvester state), so batching preserves scalar results as
     long as one node appears at most once per call.
@@ -128,115 +128,32 @@ def _settle_items(
                             )
                         pos += count
         powers_all = ((solar_all * shade_all) * first.efficiency).tolist()
+    else:
+        powers_all = []
     pos = 0
     shortfalls: List[float] = []
     for node, now_s, extra, ends, durations in plans:
         count = len(ends)
-        if count:
-            shortfall = _apply_chunks(
-                node, ends, durations, powers_all[pos : pos + count], extra
-            )
-            pos += count
-        else:
-            shortfall = 0.0
-            if extra > 0:
-                # Settling to the same instant: apply the demand directly
-                # (the switch's deficit branch with zero harvest).
-                battery = node.battery
-                used = min(extra, battery.stored_j)
-                shortfall = extra - used
-                battery.stored_j = max(0.0, battery.stored_j - used)
-                _advance(battery, node.settled_until_s)
+        powers = powers_all[pos : pos + count]
+        pos += count
+        if not count and extra > 0:
+            # Settling to the same instant: one zero-length chunk applies
+            # the demand directly (the switch's zero-harvest deficit).
+            ends, durations, powers = [node.settled_until_s], [0.0], [0.0]
+        shortfall = 0.0
+        if ends:
+            shortfall = ksettle.recurrence(
+                ends,
+                durations,
+                powers,
+                node.sleep_watts,
+                extra,
+                node.battery,
+                node.switch.soc_cap,
+            )[0]
         node.settled_until_s = max(node.settled_until_s, now_s)
         shortfalls.append(shortfall)
     return shortfalls
-
-
-def _advance(battery, now_s: float) -> None:
-    """Inline of ``Battery._advance`` (monotonicity holds by schedule)."""
-    battery._now_s = now_s
-    soc = battery.stored_j / battery.capacity_j
-    battery.trace.append(now_s, soc)
-    if battery._incremental is not None:
-        battery._incremental.push(min(soc, 1.0))
-
-
-def _apply_chunks(
-    node: MesoNode,
-    ends: List[float],
-    durations: List[float],
-    powers: List[float],
-    extra: float,
-) -> float:
-    """Apply settle chunks with the exact scalar switch/battery ops.
-
-    Reproduces ``SoftwareDefinedSwitch.apply_window`` plus
-    ``Battery.charge``/``discharge``/``settle`` per chunk, bit for bit:
-    same min/max/accumulation order, the extra (transmission) demand
-    added to the final chunk only.  The recurrence itself runs through
-    :func:`repro.kernels.settle.recurrence` (the JIT-able hot loop);
-    the resulting SoC samples then feed the trace monotone-run merge
-    and the streaming-rainflow replay kernel — the semantics are the
-    batch-API ones of ``SocTrace.extend_batch`` /
-    ``StreamingRainflow.extend_batch``, sample for sample.  The charge
-    limit is hoisted — degradation is constant between refreshes, so
-    ``min(current_max, θ·capacity)`` is loop-invariant.
-    """
-    battery = node.battery
-    trace = battery.trace
-    prev_t, prev_c = trace._last_time, trace._last_soc
-    if prev_t is not None and ends[0] < prev_t:
-        raise ConfigurationError("trace times must be non-decreasing")
-    if trace._start_time is None:
-        trace._start_time = ends[0]
-    have_prev = prev_t is not None
-    socs, stored, shortfall, integral, prev_t, prev_c = ksettle.recurrence(
-        ends,
-        durations,
-        powers,
-        node.sleep_watts,
-        extra,
-        battery.stored_j,
-        min(
-            battery.current_max_capacity_j,
-            node.switch.soc_cap * battery.capacity_j,
-        ),
-        battery.capacity_j,
-        have_prev,
-        prev_t if have_prev else 0.0,
-        prev_c if have_prev else 0.0,
-        trace._weighted_integral,
-    )
-    # Trace merge, inlined from SocTrace.append's monotone-continuation
-    # rule: a sample extending the tail's run rewrites the tail point.
-    ts, ss = trace.times, trace.socs
-    for i, clamped in enumerate(socs):
-        t = ends[i]
-        if len(ss) >= 2:
-            prev, tail_s = ss[-2], ss[-1]
-            if tail_s > prev:
-                cont = clamped >= tail_s
-            elif tail_s < prev:
-                cont = clamped <= tail_s
-            else:
-                cont = clamped == tail_s
-        else:
-            cont = False
-        if cont:
-            ts[-1] = t
-            ss[-1] = clamped
-        else:
-            ts.append(t)
-            ss.append(clamped)
-    incremental = battery._incremental
-    if incremental is not None:
-        krainflow.replay(incremental._stream, socs)
-    trace._weighted_integral = integral
-    trace._last_time = prev_t
-    trace._last_soc = prev_c
-    battery.stored_j = stored
-    battery._now_s = ends[len(ends) - 1]
-    return shortfall
 
 
 # ------------------------------------------------------------ period starts

@@ -24,6 +24,7 @@ from ..core import (
 )
 from ..energy import EnergyForecaster, Harvester, SoftwareDefinedSwitch
 from ..exceptions import ConfigurationError, InvariantError
+from ..kernels import settle as ksettle
 from ..lora import ChannelHopper, EnergyModel, TxParams, airtime_table
 from .metrics import NodeMetrics
 from .packetlog import PacketLog, PacketRecord
@@ -165,32 +166,46 @@ class EndDevice:
         """Apply harvested energy and sleep demand up to ``now_s``.
 
         Settlement proceeds in forecast-window-sized chunks (a partial
-        final chunk ends exactly at ``now_s``) through the
-        software-defined switch, so the SoC trace gains at most one point
-        per window — the paper's discrete-time trace granularity.
+        final chunk ends exactly at ``now_s``) through the fused settle
+        pass, so the SoC trace gains at most one point per window — the
+        paper's discrete-time trace granularity.  The pass returns what
+        the switch would have signalled per window; brown-outs are
+        replayed through the switch and the last charging window is
+        recorded for the packet's transition report, in chunk order.
         """
         if now_s < self._settled_until_s:
             raise InvariantError("cannot settle backwards in time")
-        sleep_watts = self.energy_model.power_profile.sleep_watts
-        cursor = self._settled_until_s
+        start = cursor = self._settled_until_s
+        power = self.harvester.power_watts
+        ends = []
+        durations = []
+        powers = []
         while cursor < now_s - 1e-9:
             chunk_end = min(now_s, cursor + self.window_s)
             duration = chunk_end - cursor
-            harvested = self.harvester.power_watts(
-                cursor + duration / 2.0
-            ) * duration
-            result = self.switch.apply_window(
-                self.battery,
-                harvested_j=harvested,
-                demand_j=sleep_watts * duration,
-                window_end_s=chunk_end,
-            )
-            if result.charged_j > 0 and self.packet is not None:
-                window = int((cursor - self.packet.period_start_s) // self.window_s)
-                if window >= 0:
-                    self.packet.last_recharge_window = min(window, 0xFE)
+            ends.append(chunk_end)
+            durations.append(duration)
+            powers.append(power(cursor + duration / 2.0))
             cursor = chunk_end
         self._settled_until_s = now_s
+        if not ends:
+            return
+        sleep_watts = self.energy_model.power_profile.sleep_watts
+        _, last_charge, brownouts = ksettle.recurrence(
+            ends, durations, powers, sleep_watts, 0.0, self.battery,
+            self.switch.soc_cap,
+        )
+        if last_charge >= 0 and self.packet is not None:
+            chunk_start = ends[last_charge - 1] if last_charge else start
+            window = int((chunk_start - self.packet.period_start_s) // self.window_s)
+            if window >= 0:
+                self.packet.last_recharge_window = min(window, 0xFE)
+        for i, shortfall, soc in brownouts:
+            duration = durations[i]
+            self.switch.report_brownout(
+                ends[i], shortfall, sleep_watts * duration,
+                powers[i] * duration, soc,
+            )
 
     def draw_attempt_energy(self, now_s: float) -> bool:
         """Draw one attempt's battery cost at ``now_s``; False on brown-out.

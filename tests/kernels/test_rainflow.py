@@ -1,29 +1,69 @@
-"""Rainflow-replay kernel ≡ pushing the samples one at a time.
+"""The fused settle pass's rainflow stage ≡ pushing the samples one at a time.
 
-The kernel claims *state* identity (stack, provisional tail, bootstrap
-flags) and *emission* identity (same cycles, same order, same weights)
-with ``StreamingRainflow.push`` — which makes it interchangeable with
-the scalar engine's sample-by-sample feed at any batch boundary.
+``repro.kernels.settle.recurrence`` pushes every chunk's SoC through the
+battery's ``StreamingRainflow`` inline.  These tests drive a capacity-1
+battery through chosen SoC walks — levels on a 1/64 grid, where every
+charge and discharge step is exact in binary floating point, so the
+pass produces exactly the walk's values — and check *state* identity
+(stack, provisional tail, bootstrap flags) and *emission* identity (same
+cycles, same order, same weights) with ``StreamingRainflow.push`` at any
+settle boundary.
 """
 
 import random
 
 import pytest
 
+from repro.battery import Battery
 from repro.battery.rainflow import StreamingRainflow, count_cycles
-from repro.kernels import rainflow
+from repro.battery.soc_trace import SocTrace
+from repro.kernels import settle
+
+STEP = 1.0 / 64.0
 
 
 def _walk(rng, n):
-    values, level = [], rng.random()
+    values, level = [], rng.randint(0, 64)
     for _ in range(n):
         # Plateaus and monotone runs exercise the tail-collapse path.
         if rng.random() < 0.2 and values:
             values.append(values[-1])
         else:
-            level = min(1.0, max(0.0, level + rng.uniform(-0.3, 0.3)))
-            values.append(level)
+            level = min(64, max(0, level + rng.randint(-19, 19)))
+            values.append(level * STEP)
     return values
+
+
+def _battery(stream):
+    """A capacity-1 battery with no SoC history, settling into ``stream``."""
+    battery = Battery(capacity_j=1.0, initial_soc=0.0)
+    battery.trace = SocTrace()
+    battery._incremental._stream = stream
+    return battery
+
+
+def _settle_through(battery, values):
+    """One fused pass whose chunk SoCs are exactly ``values``.
+
+    Sleep draw is 1/64 W.  A rise by Δ is a 1-s chunk harvesting
+    Δ + 1/64 J; a fall by Δ is a dark chunk lasting 64·Δ s.
+    """
+    if not values:
+        return
+    ends, durations, powers = [], [], []
+    t, level = battery.now_s, battery.stored_j
+    for value in values:
+        if value >= level:
+            duration, power = 1.0, (value - level) + STEP
+        else:
+            duration, power = (level - value) * 64.0, 0.0
+        t += duration
+        ends.append(t)
+        durations.append(duration)
+        powers.append(power)
+        level = value
+    settle.recurrence(ends, durations, powers, STEP, 0.0, battery, 1.0)
+    assert battery.trace.last_soc == values[-1]
 
 
 def _state(stream):
@@ -37,13 +77,14 @@ def _state(stream):
 
 def _replay_in_chunks(values, rng=None):
     stream = StreamingRainflow()
+    battery = _battery(stream)
     if rng is None:
-        rainflow.replay(stream, values)
+        _settle_through(battery, values)
         return stream
     i = 0
     while i < len(values):
         j = i + rng.randint(1, max(1, len(values) - i))
-        rainflow.replay(stream, values[i:j])
+        _settle_through(battery, values[i:j])
         i = j
     return stream
 
@@ -78,9 +119,10 @@ class TestReplayEquivalence:
 
     def test_empty_and_constant_series(self):
         stream = StreamingRainflow()
-        rainflow.replay(stream, [])
+        battery = _battery(stream)
+        _settle_through(battery, [])
         assert _state(stream) == ([], 0.0, None, False)
-        rainflow.replay(stream, [0.5, 0.5, 0.5])
+        _settle_through(battery, [0.5, 0.5, 0.5])
         reference = StreamingRainflow()
         for value in (0.5, 0.5, 0.5):
             reference.push(value)
@@ -91,8 +133,7 @@ class TestReplayEquivalence:
         rng = random.Random(77)
         values = _walk(rng, 300)
         seen = []
-        stream = StreamingRainflow(on_cycle=seen.append)
-        rainflow.replay(stream, values)
+        _settle_through(_battery(StreamingRainflow(on_cycle=seen.append)), values)
         reference = StreamingRainflow()
         for value in values:
             reference.push(value)
