@@ -37,6 +37,7 @@ from typing import Dict, Optional
 
 from repro import SimulationConfig, run_mesoscopic, run_simulation
 from repro.constants import SECONDS_PER_DAY
+from repro.sim import MesoscopicSimulator
 
 DEFAULT_OUT = pathlib.Path(__file__).parent / "results" / "BENCH_obs.json"
 PERF_OUT = pathlib.Path(__file__).parent / "results" / "BENCH_perf.json"
@@ -214,8 +215,16 @@ def run_vec_child(variant: str, nodes: int, days: float) -> Dict[str, object]:
     config = SimulationConfig(
         node_count=nodes, duration_s=days * SECONDS_PER_DAY, seed=42
     ).as_h(0.5)
+    if variant == "vectorized":
+        sim_class = MesoscopicSimulator
+    else:
+        # The scalar sweep is the test suite's oracle, not product code.
+        sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+        from tests.sim.meso_reference import ScalarMesoscopicSimulator
+
+        sim_class = ScalarMesoscopicSimulator
     start = time.perf_counter()
-    result = run_mesoscopic(config.replace(vectorized=(variant == "vectorized")))
+    result = sim_class(config).run()
     wall = time.perf_counter() - start
     per_kernel: Dict[str, Dict[str, object]] = {}
     profile_days = min(days, 30.0)
@@ -225,10 +234,7 @@ def run_vec_child(variant: str, nodes: int, days: float) -> Dict[str, object]:
         profiler.enable()
         try:
             run_mesoscopic(
-                config.replace(
-                    vectorized=True,
-                    duration_s=profile_days * SECONDS_PER_DAY,
-                )
+                config.replace(duration_s=profile_days * SECONDS_PER_DAY)
             )
         finally:
             profiler.disable()
@@ -301,8 +307,9 @@ def run_veccompare(
 ) -> Dict[str, object]:
     """Scalar-vs-vectorized mesoscopic comparison → BENCH_vec.json.
 
-    Runs the same seeded H-50 configuration through the scalar reference
-    sweep and the vectorized fast path — each leg in its own fresh
+    Runs the same seeded H-50 configuration through the scalar sweep the
+    test suite keeps as its oracle (``tests/sim/meso_reference.py``) and
+    the engine's batched sweep — each leg in its own fresh
     subprocess, so the two ``peak_rss_kb`` figures are independent —
     records both wall times plus the speedup, and cross-checks every
     per-node metric field for exact equality (the vectorized path claims

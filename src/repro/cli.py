@@ -97,15 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="TTL (days) before nodes decay a stale disseminated w_u",
     )
     simulate.add_argument(
-        "--no-vectorized",
-        action="store_false",
-        dest="vectorized",
-        help=(
-            "run the mesoscopic engine's scalar reference sweep instead "
-            "of the (bit-identical) vectorized fast path"
-        ),
-    )
-    simulate.add_argument(
         "--memory-profile",
         choices=("exact", "diet"),
         default="exact",
@@ -217,15 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "time every hot-loop kernel invocation and print the ranked "
             "per-kernel table (counters also land in --metrics-out)"
-        ),
-    )
-    simulate.add_argument(
-        "--no-exact-batched",
-        action="store_false",
-        dest="exact_batched",
-        help=(
-            "drain the exact engine's event heap one event at a time "
-            "instead of the (identical) batched same-instant fast path"
         ),
     )
     simulate.add_argument(
@@ -534,8 +516,6 @@ def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
         w_u_ttl_s=None if ttl_days is None else ttl_days * SECONDS_PER_DAY,
         trace=getattr(args, "trace", False),
         trace_path=getattr(args, "trace_out", None),
-        vectorized=getattr(args, "vectorized", True),
-        exact_batched=getattr(args, "exact_batched", True),
         trace_categories=(
             None
             if categories is None

@@ -294,21 +294,40 @@ class BatteryLifespanAwareMac(MacPolicy):
             estimated_tx_energies_j=estimated,
         )
         if self._trace is not None and self._trace.wants("window", "debug"):
-            self._trace.emit(
+            self.emit_selection(
                 context.period_start_s,
-                "window",
-                "window.selected",
-                severity="debug",
-                node_id=self._trace_node,
-                success=decision.success,
-                window_index=decision.window_index,
-                w_u=effective_w,
-                battery_energy_j=context.battery_energy_j,
-                scores=[round(s, 6) for s in decision.scores],
-                difs=[round(d, 6) for d in decision.difs],
-                utilities=[round(u, 6) for u in decision.utilities],
+                decision,
+                effective_w,
+                context.battery_energy_j,
             )
         return decision
+
+    def emit_selection(
+        self,
+        period_start_s: float,
+        decision: WindowDecision,
+        w_u: float,
+        battery_energy_j: float,
+    ) -> None:
+        """Publish one Algorithm 1 decision as a ``window.selected`` event.
+
+        :meth:`choose_window` calls it for its own decision; the batched
+        mesoscopic sweep calls it with a row of the batch scorer.
+        """
+        self._trace.emit(
+            period_start_s,
+            "window",
+            "window.selected",
+            severity="debug",
+            node_id=self._trace_node,
+            success=decision.success,
+            window_index=decision.window_index,
+            w_u=w_u,
+            battery_energy_j=battery_energy_j,
+            scores=[round(s, 6) for s in decision.scores],
+            difs=[round(d, 6) for d in decision.difs],
+            utilities=[round(u, 6) for u in decision.utilities],
+        )
 
     def observe_result(
         self, window_index: int, retransmissions: int, actual_tx_energy_j: float
@@ -439,8 +458,9 @@ def batch_choose_windows(
     as in the scalar call.  All MACs must share ``w_b``, the utility
     function and ``E^tx_max`` (one simulation config guarantees this);
     θ·capacity caps are gathered per node.  Decisions are bit-identical
-    to per-node :meth:`choose_window` calls.  Tracing is not emitted —
-    the vectorized engine only runs with tracing disabled.
+    to per-node :meth:`choose_window` calls.  No ``window.selected``
+    event is emitted here; callers publish rows through
+    :meth:`BatteryLifespanAwareMac.emit_selection`.
     """
     if not macs:
         raise ConfigurationError("at least one MAC is required")

@@ -307,7 +307,8 @@ class MixedBatchWindowDecision:
     Rows are padded to the widest ``|T|``; ``utilities`` is the full
     ``(N, T_max)`` matrix (row ``i`` holds ``fn(t, counts[i])`` for
     ``t < counts[i]`` and 0 beyond), and columns at or past a row's
-    count were masked infeasible before selection.
+    count were masked infeasible before selection.  ``weights`` holds
+    each row's ``w_u``.
     """
 
     success: np.ndarray
@@ -315,12 +316,24 @@ class MixedBatchWindowDecision:
     utilities: np.ndarray
     scores: np.ndarray
     difs: np.ndarray
+    weights: np.ndarray
 
     def chosen_utilities(self) -> np.ndarray:
         """Utility of each node's chosen window (0.0 on FAIL)."""
         idx = np.where(self.success, self.window_index, 0)
         rows = np.arange(idx.size)
         return np.where(self.success, self.utilities[rows, idx], 0.0)
+
+    def row(self, i: int, count: int) -> WindowDecision:
+        """Row ``i`` as the scalar decision over its ``count`` windows."""
+        success = bool(self.success[i])
+        return WindowDecision(
+            success=success,
+            window_index=int(self.window_index[i]) if success else None,
+            scores=self.scores[i, :count].tolist(),
+            utilities=self.utilities[i, :count].tolist(),
+            difs=self.difs[i, :count].tolist(),
+        )
 
 
 def score_windows_mixed(
@@ -405,4 +418,5 @@ def score_windows_mixed(
         utilities=utilities,
         scores=scores,
         difs=difs,
+        weights=w,
     )

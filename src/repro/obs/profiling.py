@@ -223,10 +223,6 @@ def config_hash(config: object) -> str:
                 # Retention-only: which nodes keep full history never
                 # changes simulation results.
                 "sample_nodes",
-                # The exact engine's batched event drain executes the
-                # same events in the same order with the same RNG
-                # draws; on/off never changes simulation results.
-                "exact_batched",
             )
         }
         if "shards" in payload:

@@ -134,24 +134,6 @@ class SimulationConfig:
     #: trace); off by default because it discards per-node SoC history
     #: some analyses read back.
     compact_trace: bool = False
-    #: Run the mesoscopic engine through its NumPy fast path: per-batch
-    #: node-state arrays, batched harvest/forecast kernels and the
-    #: batched Algorithm-1 scorer.  Decisions, RNG streams and results
-    #: are equivalent to the scalar sweep (see docs/PERFORMANCE.md);
-    #: False forces the scalar reference path.  Event tracing always
-    #: uses the scalar path regardless of this flag.
-    vectorized: bool = True
-    #: Exact-engine batched fast path: same-instant period events (the
-    #: cohorts synchronized deployments produce every whole minute) are
-    #: popped from the event heap in one run and their Algorithm-1
-    #: window decisions computed in a single AirtimeTable-backed vector
-    #: pass.  Execution order, RNG draws, scheduling sequence numbers
-    #: and results are identical to the one-event-at-a-time drain (see
-    #: docs/PERFORMANCE.md); the engine falls back to that drain
-    #: automatically when tracing or packet recording is on (their
-    #: emission order is interleaved per node).  Excluded from the
-    #: config identity hash.
-    exact_batched: bool = True
 
     # ----------------------------------------------------------------- scale
     #: Per-node state budget.  ``"exact"`` keeps every float64 buffer the
@@ -159,8 +141,9 @@ class SimulationConfig:
     #: very large topologies — float32 shading windows, aggressively
     #: compacted SoC traces, small pure-function memo caches, and packet
     #: / trace retention restricted to ``sample_nodes``.  Diet runs are
-    #: deterministic (scalar ≡ vectorized) but not bit-identical to
-    #: ``"exact"`` because shading factors round through float32.
+    #: deterministic (the batched sweep still matches its one-event-at-
+    #: a-time test oracle) but not bit-identical to ``"exact"`` because
+    #: shading factors round through float32.
     memory_profile: str = "exact"
     #: Node ids whose full per-node history (packet records, SoC traces)
     #: is retained even under the diet profile.  None means "retain
@@ -411,8 +394,9 @@ class SimulationConfig:
         harvest midpoint sampling and SoC turning points track the
         diurnal cycle rather than every 5 minutes, trading a small,
         documented accuracy loss for an order of magnitude less settle
-        work on 10k+-node topologies.  Scalar and vectorized sweeps
-        share this value, so scalar ≡ vectorized holds in both profiles.
+        work on 10k+-node topologies.  The batched sweep and its
+        one-event-at-a-time test oracle share this value, so they agree
+        bit for bit in both profiles.
         """
         base = self.window_s * 5.0
         if self.memory_profile == "diet":

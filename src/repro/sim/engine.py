@@ -277,11 +277,7 @@ class Simulator:
         still be identical, but byte-identical observability is part of
         the fast path's contract — so those runs keep the scalar drain.
         """
-        if (
-            getattr(self.config, "exact_batched", True)
-            and self._trace is None
-            and self.packet_log is None
-        ):
+        if self._trace is None and self.packet_log is None:
             self.queue.dispatch_batch = self._dispatch_batch
             self.queue.batch_kinds = frozenset({"period"})
         else:

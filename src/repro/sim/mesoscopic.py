@@ -29,15 +29,14 @@ from __future__ import annotations
 import heapq
 import math
 import random
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..battery import Battery, DegradationModel
 from ..checkpoint.core import save_checkpoint
-from ..checkpoint.interrupt import last_signal, stop_requested
+from ..checkpoint.interrupt import last_signal
 from ..constants import SECONDS_PER_DAY, SECONDS_PER_YEAR
-from ..core import DegradationService, MacPolicy, PeriodContext
+from ..core import DegradationService, MacPolicy
 from ..exceptions import ConfigurationError, SimulationInterrupted
 from ..energy import (
     CloudProcess,
@@ -51,7 +50,7 @@ from ..obs import Observability, RunManifest, config_hash, git_revision
 from .config import SimulationConfig
 from .engine import build_forecaster, build_mac
 from .metrics import NetworkMetrics, NodeMetrics
-from .packetlog import PacketLog, PacketRecord
+from .packetlog import PacketLog
 from .topology import NodePlacement, build_topology
 
 
@@ -200,42 +199,6 @@ class MesoNode:
     def windows_per_period(self) -> int:
         """|T| — forecast windows available per sampling period."""
         return max(1, int(self.placement.period_s // self.config.window_s))
-
-    def settle_to(self, now_s: float, extra_demand_j: float = 0.0) -> float:
-        """Advance energy state to ``now_s``; returns unmet demand.
-
-        Harvest and sleep demand are applied in coarse chunks through the
-        switch; ``extra_demand_j`` (transmission energy) lands in the
-        final chunk.  The chunk length comes from the memory profile
-        (5 windows exact, 120 windows diet) and keeps the trace small
-        while preserving charge/discharge turning points.
-        """
-        # A window resolution can settle a node slightly past a refresh
-        # or end-of-run boundary; later settles clamp to the frontier.
-        now_s = max(now_s, self.settled_until_s)
-        chunk_s = self.config.settle_chunk_s()
-        cursor = self.settled_until_s
-        shortfall = 0.0
-        while cursor < now_s - 1e-9:
-            chunk_end = min(now_s, cursor + chunk_s)
-            duration = chunk_end - cursor
-            harvested = self.harvester.power_watts(cursor + duration / 2.0) * duration
-            demand = self.sleep_watts * duration
-            if chunk_end >= now_s - 1e-9:
-                demand += extra_demand_j
-            result = self.switch.apply_window(
-                self.battery, harvested, demand, chunk_end
-            )
-            shortfall += result.shortfall_j
-            cursor = chunk_end
-        if now_s <= self.settled_until_s + 1e-9 and extra_demand_j > 0:
-            # Settling to the same instant: apply the demand directly.
-            result = self.switch.apply_window(
-                self.battery, 0.0, extra_demand_j, self.settled_until_s
-            )
-            shortfall += result.shortfall_j
-        self.settled_until_s = max(self.settled_until_s, now_s)
-        return shortfall
 
 
 def resolve_window(
@@ -396,10 +359,8 @@ class MonthlySample:
 class _SweepState:
     """The chronological sweep's complete progress, hoisted for snapshots.
 
-    Both the scalar and vectorized sweeps read their loop state from
-    (and sync it back to) one of these, so a checkpoint taken by either
-    path can be resumed by either path — they are bit-identical by the
-    PR-4 equivalence contract.
+    The sweep reads its loop state from (and syncs it back to) one of
+    these, so a checkpoint taken mid-sweep resumes exactly where it was.
     """
 
     #: (time, kind, tiebreak, payload) — kind 0 = period, 1 = resolve.
@@ -601,14 +562,7 @@ class MesoscopicSimulator:
             emit_startup_notice(self._trace)
 
         with self.obs.profiler.phase("run"):
-            # Tracing needs the scalar path's per-call emission points;
-            # the vectorized sweep only runs with the trace bus off.
-            if config.vectorized and self._trace is None:
-                from .mesoscopic_vec import run_sweep
-
-                monthly = run_sweep(self)
-            else:
-                monthly = self._run_sweep()
+            monthly = self._sweep()
         with self.obs.profiler.phase("finalize"):
             self._finalize(duration)
             linear_rates = {}
@@ -646,95 +600,11 @@ class MesoscopicSimulator:
             obs=self.obs,
         )
 
-    def _run_sweep(self) -> List[MonthlySample]:
-        """The scalar reference sweep: one heap event at a time.
+    def _sweep(self) -> List[MonthlySample]:
+        """Run (or continue) the event sweep up to the horizon."""
+        from .mesoscopic_vec import run_sweep
 
-        The vectorized sweep in :mod:`repro.sim.mesoscopic_vec` batches
-        the same event stream; this path stays as the bit-level
-        reference (and the only path when tracing is on).
-        """
-        config = self.config
-        window_s = config.window_s
-        duration = config.duration_s
-
-        # Global chronological sweep: a heap of period starts plus
-        # deferred window resolutions.  All progress lives in the
-        # (checkpointable) sweep state; the hot loop works on local
-        # aliases and syncs scalars back at snapshot instants only.
-        PERIOD = 0
-        state = self._sweep_state
-        if state is None:
-            state = self._sweep_state = _SweepState.initial(self)
-        heap = state.heap
-        pending_windows = state.pending_windows
-        monthly = state.monthly
-        seq = state.seq
-        next_refresh = state.next_refresh
-        month_s = SECONDS_PER_YEAR / 12.0
-        next_month = state.next_month
-        month_index = state.month_index
-        iterations = 0
-
-        while heap and heap[0][0] <= duration:
-            if heap[0][0] >= state.next_checkpoint:
-                state.seq = seq
-                state.next_refresh = next_refresh
-                state.next_month = next_month
-                state.month_index = month_index
-                self._checkpoint_before(heap[0][0], state)
-            iterations += 1
-            if iterations % 256 == 0 and stop_requested():
-                state.seq = seq
-                state.next_refresh = next_refresh
-                state.next_month = next_month
-                state.month_index = month_index
-                self._interrupted(heap[0][0])
-            time_s, kind, _, payload = heapq.heappop(heap)
-            self._events_executed += 1
-
-            while next_refresh <= time_s:
-                self._refresh_degradation(next_refresh)
-                next_refresh += config.dissemination_interval_s
-            while next_month <= time_s:
-                month_index += 1
-                values = [
-                    n.metrics.degradation for n in self.nodes.values()
-                ]
-                monthly.append(
-                    MonthlySample(
-                        month=month_index,
-                        max_degradation=max(values),
-                        mean_degradation=sum(values) / len(values),
-                    )
-                )
-                next_month += month_s
-
-            if kind == PERIOD:
-                node = self.nodes[payload]
-                self._start_period(node, time_s, pending_windows, heap, seq)
-                seq += 1
-                next_start = time_s + node.placement.period_s
-                if next_start <= duration:
-                    heapq.heappush(
-                        heap, (next_start, PERIOD, seq, node.node_id)
-                    )
-                    seq += 1
-            else:  # RESOLVE at the end of absolute window `payload`
-                entries = pending_windows.pop(payload, [])
-                if entries:
-                    self._resolve(entries, payload, window_s)
-            if len(heap) > self._peak_heap:
-                self._peak_heap = len(heap)
-
-        state.seq = seq
-        state.next_refresh = next_refresh
-        state.next_month = next_month
-        state.month_index = month_index
-        # Flush any windows scheduled past the horizon.
-        for window_index, entries in sorted(pending_windows.items()):
-            self._resolve(entries, window_index, window_s)
-        pending_windows.clear()
-        return monthly
+        return run_sweep(self)
 
     def _build_manifest(self) -> RunManifest:
         config = self.config
@@ -829,79 +699,6 @@ class MesoscopicSimulator:
 
     # ------------------------------------------------------------- internals
 
-    def _start_period(
-        self,
-        node: MesoNode,
-        now_s: float,
-        pending_windows: Dict[int, List[WindowEntry]],
-        heap: List,
-        seq: int,
-    ) -> None:
-        node.settle_to(now_s)
-        node.metrics.record_generated()
-        windows = node.windows_per_period
-        forecast = node.forecaster.forecast(now_s, self.config.window_s, windows)
-        context = PeriodContext(
-            battery_energy_j=node.battery.stored_j,
-            green_forecast_j=forecast,
-            nominal_tx_energy_j=node.attempt_energy_j,
-            period_start_s=now_s,
-        )
-        decision = node.mac.choose_window(context)
-        if not decision.success or decision.window_index is None:
-            node.metrics.record_failure(0, 0.0, energy_drop=True)
-            if self._trace is not None:
-                self._trace.emit(
-                    now_s,
-                    "packet",
-                    "packet.dropped",
-                    severity="warning",
-                    node_id=node.node_id,
-                    reason="no_feasible_window",
-                    soc=node.battery.soc,
-                )
-            if self.packet_log is not None:
-                self.packet_log.append(
-                    PacketRecord(
-                        node_id=node.node_id,
-                        generated_at_s=now_s,
-                        window_index=-1,
-                        attempts=0,
-                        delivered=False,
-                        latency_s=node.placement.period_s,
-                        utility=0.0,
-                        energy_drop=True,
-                    )
-                )
-            return
-        node.metrics.record_window(decision.window_index)
-        if self._trace is not None and self._trace.wants("packet", "debug"):
-            self._trace.emit(
-                now_s,
-                "packet",
-                "packet.generated",
-                severity="debug",
-                node_id=node.node_id,
-                window_index=decision.window_index,
-                soc=node.battery.soc,
-            )
-        tx_time = now_s + decision.window_index * self.config.window_s
-        absolute_window = int(tx_time // self.config.window_s)
-        entry = WindowEntry(
-            node=node,
-            immediate=not self.config.use_window_selection,
-            window_index_in_period=decision.window_index,
-            period_start_s=now_s,
-            decision=decision,
-            offset_in_window_s=tx_time - absolute_window * self.config.window_s,
-        )
-        bucket = pending_windows.setdefault(absolute_window, [])
-        bucket.append(entry)
-        self._export_intent(entry, absolute_window)
-        if len(bucket) == 1:
-            resolve_time = (absolute_window + 1) * self.config.window_s
-            heapq.heappush(heap, (resolve_time, 1, seq, absolute_window))
-
     def _export_intent(self, entry: WindowEntry, absolute_window: int) -> None:
         """Announce a border node's scheduled window to other cells.
 
@@ -927,147 +724,6 @@ class MesoscopicSimulator:
             return ()
         return self._foreign.statics_for(window_index)
 
-    def _resolve(
-        self, entries: List[WindowEntry], window_index: int, window_s: float
-    ) -> None:
-        outcomes = resolve_window(
-            entries,
-            window_s=window_s,
-            channel_count=self.config.channel_count,
-            omega=self.config.omega,
-            max_retransmissions=self.config.max_retransmissions,
-            rng=self.rng,
-            static_attempts=self._statics_for(window_index),
-        )
-        window_start = window_index * window_s
-        for entry in entries:
-            node = entry.node
-            outcome = outcomes[node.node_id]
-            decision = entry.decision  # type: ignore[attr-defined]
-            demand = outcome.attempts * node.attempt_energy_j
-            settle_time = max(
-                window_start + outcome.finish_offset_s, node.settled_until_s
-            )
-            shortfall = node.settle_to(settle_time, extra_demand_j=demand)
-            if shortfall > demand * 0.5:
-                # The battery could not fund the attempts: brown-out.
-                node.metrics.record_failure(
-                    retransmissions=outcome.attempts - 1,
-                    tx_energy_j=0.0,
-                    energy_drop=True,
-                )
-                if self._trace is not None:
-                    self._trace.emit(
-                        settle_time,
-                        "packet",
-                        "packet.dropped",
-                        severity="warning",
-                        node_id=node.node_id,
-                        reason="brownout",
-                        soc=node.battery.soc,
-                    )
-                if self.packet_log is not None:
-                    self.packet_log.append(
-                        PacketRecord(
-                            node_id=node.node_id,
-                            generated_at_s=entry.period_start_s,
-                            window_index=entry.window_index_in_period,
-                            attempts=0,
-                            delivered=False,
-                            latency_s=node.placement.period_s,
-                            utility=0.0,
-                            energy_drop=True,
-                        )
-                    )
-                node.mac.observe_result(
-                    entry.window_index_in_period,
-                    min(outcome.attempts - 1, self.config.max_retransmissions),
-                    demand,
-                )
-                continue
-            tx_metric = outcome.attempts * node.tx_energy_j
-            retx = outcome.attempts - 1
-            if outcome.success:
-                # Jittered period starts are bucketed onto the global
-                # window grid, so the grid window can begin slightly
-                # before the period; clamp to the physical minimum.
-                latency = max(
-                    node.airtime_s + self.ACK_DELAY_S,
-                    (window_start - entry.period_start_s)
-                    + outcome.finish_offset_s
-                    + self.ACK_DELAY_S,
-                )
-                node.metrics.record_delivery(
-                    retransmissions=retx,
-                    tx_energy_j=tx_metric,
-                    utility=decision.utility,
-                    latency_s=latency,
-                )
-            else:
-                node.metrics.record_failure(
-                    retransmissions=retx, tx_energy_j=tx_metric
-                )
-            node.mac.observe_result(entry.window_index_in_period, retx, demand)
-            if self._trace is not None:
-                self._trace.emit(
-                    window_start + outcome.finish_offset_s,
-                    "packet",
-                    "packet.finished",
-                    severity="info" if outcome.success else "warning",
-                    node_id=node.node_id,
-                    delivered=outcome.success,
-                    window_index=entry.window_index_in_period,
-                    retransmissions=retx,
-                    battery_energy_j=node.battery.stored_j,
-                )
-            if self.packet_log is not None:
-                self.packet_log.append(
-                    PacketRecord(
-                        node_id=node.node_id,
-                        generated_at_s=entry.period_start_s,
-                        window_index=entry.window_index_in_period,
-                        attempts=outcome.attempts,
-                        delivered=outcome.success,
-                        latency_s=latency if outcome.success else node.placement.period_s,
-                        utility=decision.utility if outcome.success else 0.0,
-                        energy_drop=False,
-                    )
-                )
-            node.forecaster.observe(
-                window_start,
-                window_s,
-                node.harvester.window_energy_j(window_start, window_s),
-            )
-
-    def _refresh_degradation(self, now_s: float) -> None:
-        started = time.perf_counter()
-        compact = self.config.effective_compact_trace()
-        exempt = self.config.effective_sample_nodes() if compact else None
-        for node in self.nodes.values():
-            node.settle_to(now_s)
-            degradation = node.battery.refresh_degradation()
-            if compact and (exempt is None or node.node_id not in exempt):
-                node.battery.trace.compact_tail()
-            node.metrics.degradation = degradation
-            breakdown = node.battery.last_breakdown
-            if breakdown is not None:
-                node.metrics.cycle_aging = breakdown.cycle
-                node.metrics.calendar_aging = breakdown.calendar
-            self.service.set_degradation(node.node_id, degradation)
-        for node in self.nodes.values():
-            node.mac.set_normalized_degradation(
-                self.service.normalized_degradation(node.node_id)
-            )
-        self._record_refresh_wall(now_s, time.perf_counter() - started)
-        if self._trace is not None:
-            self._trace.emit(
-                now_s,
-                "wu",
-                "wu.recomputed",
-                severity="debug",
-                nodes=len(self.nodes),
-            )
-
     def _record_refresh_wall(self, now_s: float, elapsed_s: float) -> None:
         """Publish one refresh pass's wall time to metrics and trace."""
         self.obs.metrics.counter(
@@ -1086,17 +742,10 @@ class MesoscopicSimulator:
             )
 
     def _finalize(self, duration_s: float) -> None:
-        started = time.perf_counter()
-        for node in self.nodes.values():
-            node.settle_to(duration_s)
-            degradation = node.battery.refresh_degradation()
-            node.metrics.degradation = degradation
-            breakdown = node.battery.last_breakdown
-            if breakdown is not None:
-                node.metrics.cycle_aging = breakdown.cycle
-                node.metrics.calendar_aging = breakdown.calendar
-            node.metrics.final_soc = node.battery.soc
-        self._record_refresh_wall(duration_s, time.perf_counter() - started)
+        """Settle every node to the horizon; take final degradation."""
+        from .mesoscopic_vec import finalize
+
+        finalize(self, duration_s)
 
 
 def run_mesoscopic(

@@ -1,16 +1,15 @@
-"""Vectorized fast path for the mesoscopic simulator.
+"""The mesoscopic simulator's event sweep, batched.
 
-The scalar sweep in :mod:`repro.sim.mesoscopic` pops one heap event at a
-time and, per node, walks Python loops for harvest evaluation, SoC
-settling and Algorithm-1 scoring.  This module executes the *same* event
-stream with three batched kernels:
+The sweep pops the period/resolve heap of :class:`MesoscopicSimulator`
+and executes it with three batched kernels:
 
 * **Cohort period starts** — sampling periods are whole minutes and
   synchronized deployments share exact float period-start timestamps, so
   all PERIOD events at one instant are popped together and settled,
   forecast and scored as arrays.  A PERIOD event never enqueues another
   event at its own timestamp (resolutions and next periods land strictly
-  later), so the batch pop sees exactly the events the scalar loop would.
+  later), so the batch pop sees exactly the events a one-at-a-time loop
+  would.
 * **Batched settling** — chunk plans for a whole batch are evaluated
   through one shared :meth:`SolarModel.power_watts_batch` call plus
   per-node shading gathers; each node's chunks then go through one call
@@ -20,19 +19,25 @@ stream with three batched kernels:
 * **Batched Algorithm 1** — :func:`repro.core.mac.batch_choose_windows`
   scores a node × window matrix per period-length cohort.
 
-Equivalence with the scalar path is structural, not approximate: every
+Results are bit-identical to processing one heap event at a time: every
 random draw comes from the same generator in the same order, and every
 float operation follows the scalar operand order (the shared-RNG window
-resolver is reused verbatim for contended windows).  The scalar sweep
-remains the reference; ``SimulationConfig.vectorized=False`` or enabling
-tracing selects it.
+resolver is reused verbatim for contended windows).  The test suite
+keeps that one-event-at-a-time sweep as its oracle
+(``tests/sim/meso_reference.py``).
+
+With tracing on, the sweep emits the same events in the same order as
+the oracle: batched stages only defer per-node emissions (brown-outs
+returned by the settle pass, ``window.selected`` rows of the batch
+scorer, packet events) to the node's place in the per-node loop.
+Untraced runs pay one ``is not None`` check per emission point.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,6 +79,7 @@ def _settle_items(
     items: Sequence[Tuple[MesoNode, float, float]],
     shared_solar,
     chunk_s: float,
+    brownouts: Optional[List[list]] = None,
 ) -> List[float]:
     """Settle ``(node, time, extra_demand)`` items; returns shortfalls.
 
@@ -83,10 +89,18 @@ def _settle_items(
     Cross-node work is order-independent (each node only touches its own
     battery/harvester state), so batching preserves scalar results as
     long as one node appears at most once per call.
+
+    A traced caller passes a ``brownouts`` list: one list per item is
+    appended to it, holding the :meth:`SoftwareDefinedSwitch.report_brownout`
+    arguments of each brown-out chunk in chunk order, for the caller to
+    replay (:func:`_replay_brownouts`) at the item's place in the event
+    sequence.
     """
     plans = []
     mids_all: List[float] = []
     for node, now_s, extra in items:
+        # A window resolution can settle a node slightly past a refresh
+        # or end-of-run boundary; later settles clamp to the frontier.
         now_s = max(now_s, node.settled_until_s)
         cursor = node.settled_until_s
         ends: List[float] = []
@@ -141,8 +155,9 @@ def _settle_items(
             # the demand directly (the switch's zero-harvest deficit).
             ends, durations, powers = [node.settled_until_s], [0.0], [0.0]
         shortfall = 0.0
+        events = ()
         if ends:
-            shortfall = ksettle.recurrence(
+            shortfall, _, events = ksettle.recurrence(
                 ends,
                 durations,
                 powers,
@@ -150,10 +165,32 @@ def _settle_items(
                 extra,
                 node.battery,
                 node.switch.soc_cap,
-            )[0]
+            )
+        if brownouts is not None:
+            # The switch's (demand, harvest) of each brown-out chunk; the
+            # last chunk's demand carries the extra (transmission) energy.
+            last = len(ends) - 1
+            brownouts.append([
+                (
+                    ends[i],
+                    unmet,
+                    node.sleep_watts * durations[i] + extra
+                    if i == last
+                    else node.sleep_watts * durations[i],
+                    powers[i] * durations[i],
+                    soc,
+                )
+                for i, unmet, soc in events
+            ])
         node.settled_until_s = max(node.settled_until_s, now_s)
         shortfalls.append(shortfall)
     return shortfalls
+
+
+def _replay_brownouts(node: MesoNode, brownouts: list) -> None:
+    """Publish one settle's brown-outs through the node's switch."""
+    for args in brownouts:
+        node.switch.report_brownout(*args)
 
 
 # ------------------------------------------------------------ period starts
@@ -178,10 +215,13 @@ def _start_period_batch(
     """
     config = sim.config
     window_s = config.window_s
+    trace = sim._trace
+    brownouts = [] if trace is not None else None
     _settle_items(
         [(node, now_s, 0.0) for node in batch],
         shared_solar,
         config.settle_chunk_s(),
+        brownouts,
     )
     for node in batch:
         node.metrics.record_generated()
@@ -249,11 +289,35 @@ def _start_period_batch(
         # forecast is not consulted (no estimator/RNG side effects).
         decisions = {i: (True, 0, 1.0) for i in range(len(batch))}
 
+    if trace is not None:
+        trace_window = config.use_window_selection and trace.wants(
+            "window", "debug"
+        )
+        trace_generated = trace.wants("packet", "debug")
     remaining = len(batch)
     for i, node in enumerate(batch):
         success, window_index, utility = decisions[i]
+        if trace is not None:
+            _replay_brownouts(node, brownouts[i])
+            if trace_window:
+                node.mac.emit_selection(
+                    now_s,
+                    result.row(i, counts[i]),
+                    float(result.weights[i]),
+                    node.battery.stored_j,
+                )
         if not success:
             node.metrics.record_failure(0, 0.0, energy_drop=True)
+            if trace is not None:
+                trace.emit(
+                    now_s,
+                    "packet",
+                    "packet.dropped",
+                    severity="warning",
+                    node_id=node.node_id,
+                    reason="no_feasible_window",
+                    soc=node.battery.soc,
+                )
             if sim.packet_log is not None:
                 sim.packet_log.append(
                     PacketRecord(
@@ -269,6 +333,16 @@ def _start_period_batch(
                 )
         else:
             node.metrics.record_window(window_index)
+            if trace is not None and trace_generated:
+                trace.emit(
+                    now_s,
+                    "packet",
+                    "packet.generated",
+                    severity="debug",
+                    node_id=node.node_id,
+                    window_index=window_index,
+                    soc=node.battery.soc,
+                )
             tx_time = now_s + window_index * window_s
             absolute_window = int(tx_time // window_s)
             entry = WindowEntry(
@@ -334,11 +408,6 @@ def _resolve_single(entry: WindowEntry, window_s: float, config, rng) -> WindowO
         success=False,
         finish_offset_s=end,
     )
-
-
-# Re-exported for compatibility; the cache now lives with the
-# contention kernel that consumes it.
-_node_rssi_lin_mw = kcontention.node_rssi_lin_mw
 
 
 def _resolve_window_vec(
@@ -502,7 +571,7 @@ def _resolve_batch(
     window_s: float,
     shared_solar,
 ) -> None:
-    """Vectorized twin of ``MesoscopicSimulator._resolve``.
+    """Resolve one absolute window's transmissions and book the outcomes.
 
     Contended windows reuse the scalar :func:`resolve_window` (shared
     RNG, identical draws); uncontended ones take the single-entry fast
@@ -510,12 +579,10 @@ def _resolve_batch(
     per-entry bookkeeping follows the scalar order.
     """
     node_ids = [entry.node.node_id for entry in entries]
-    if len(set(node_ids)) != len(node_ids):
-        # A node transmitting twice in one absolute window would make
-        # the precomputed settle plan see stale state; defer to the
-        # scalar path (same RNG consumption either way).
-        sim._resolve(entries, window_index, window_s)
-        return
+    # A node transmitting twice in one absolute window: both entries
+    # share one outcome, and the second settles from the frontier the
+    # first leaves, so that window settles one entry at a time.
+    repeated = len(set(node_ids)) != len(node_ids)
     config = sim.config
     statics = sim._statics_for(window_index)
     if len(entries) == 1 and not statics:
@@ -524,10 +591,11 @@ def _resolve_batch(
         }
     else:
         gateway_counts = {len(entry.node.rssi_by_gateway) for entry in entries}
-        if len(entries) + len(statics) <= _SMALL_RESOLVE_LIMIT:
+        if repeated or len(entries) + len(statics) <= _SMALL_RESOLVE_LIMIT:
             # Tiny windows: the scalar reference resolver's pairwise
             # loops beat the array machinery's fixed overhead (it is
             # draw-for-draw the same resolver, so bit-identity is free).
+            # The array twin also needs distinct nodes.
             resolver = resolve_window
         elif len(gateway_counts) == 1:
             resolver = _resolve_window_vec
@@ -544,16 +612,31 @@ def _resolve_batch(
         )
     window_start = window_index * window_s
     observe = config.forecaster == "persistence"
+    chunk_s = config.settle_chunk_s()
+    trace = sim._trace
+    brownouts = [] if trace is not None else None
     items = []
     for entry in entries:
         outcome = outcomes[entry.node.node_id]
-        demand = outcome.attempts * entry.node.attempt_energy_j
-        settle_time = max(
-            window_start + outcome.finish_offset_s, entry.node.settled_until_s
+        items.append(
+            (
+                entry.node,
+                window_start + outcome.finish_offset_s,
+                outcome.attempts * entry.node.attempt_energy_j,
+            )
         )
-        items.append((entry.node, settle_time, demand))
-    shortfalls = _settle_items(items, shared_solar, sim.config.settle_chunk_s())
-    for entry, (node, _, demand), shortfall in zip(entries, items, shortfalls):
+    if not repeated:
+        shortfalls = _settle_items(items, shared_solar, chunk_s, brownouts)
+    for k, entry in enumerate(entries):
+        node, _, demand = items[k]
+        if repeated:
+            shortfall = _settle_items(
+                [items[k]], shared_solar, chunk_s, brownouts
+            )[0]
+        else:
+            shortfall = shortfalls[k]
+        if trace is not None:
+            _replay_brownouts(node, brownouts[k])
         outcome = outcomes[node.node_id]
         decision = entry.decision
         if shortfall > demand * 0.5:
@@ -563,6 +646,17 @@ def _resolve_batch(
                 tx_energy_j=0.0,
                 energy_drop=True,
             )
+            if trace is not None:
+                # A settle leaves the frontier at its (clamped) target.
+                trace.emit(
+                    node.settled_until_s,
+                    "packet",
+                    "packet.dropped",
+                    severity="warning",
+                    node_id=node.node_id,
+                    reason="brownout",
+                    soc=node.battery.soc,
+                )
             if sim.packet_log is not None:
                 sim.packet_log.append(
                     PacketRecord(
@@ -602,6 +696,18 @@ def _resolve_batch(
                 retransmissions=retx, tx_energy_j=tx_metric
             )
         node.mac.observe_result(entry.window_index_in_period, retx, demand)
+        if trace is not None:
+            trace.emit(
+                window_start + outcome.finish_offset_s,
+                "packet",
+                "packet.finished",
+                severity="info" if outcome.success else "warning",
+                node_id=node.node_id,
+                delivered=outcome.success,
+                window_index=entry.window_index_in_period,
+                retransmissions=retx,
+                battery_energy_j=node.battery.stored_j,
+            )
         if sim.packet_log is not None:
             sim.packet_log.append(
                 PacketRecord(
@@ -632,41 +738,66 @@ def _resolve_batch(
 # ------------------------------------------------------------------- sweep
 
 
-def _refresh_batch(sim, now_s: float, shared_solar) -> None:
-    """Batched twin of ``MesoscopicSimulator._refresh_degradation``."""
-    started = time.perf_counter()
-    compact = sim.config.effective_compact_trace()
-    exempt = sim.config.effective_sample_nodes() if compact else None
+def _settle_and_refresh(sim, now_s: float, shared_solar):
+    """Settle every node to ``now_s``, then refresh each one's degradation.
+
+    Yields the nodes in order, each after its brown-outs are replayed
+    and its degradation metrics are updated.
+    """
     nodes = list(sim.nodes.values())
+    trace = sim._trace
+    brownouts = [] if trace is not None else None
     _settle_items(
         [(node, now_s, 0.0) for node in nodes],
         shared_solar,
         sim.config.settle_chunk_s(),
+        brownouts,
     )
-    for node in nodes:
-        degradation = node.battery.refresh_degradation()
-        if compact and (exempt is None or node.node_id not in exempt):
-            node.battery.trace.compact_tail()
-        node.metrics.degradation = degradation
+    for i, node in enumerate(nodes):
+        if trace is not None:
+            _replay_brownouts(node, brownouts[i])
+        node.metrics.degradation = node.battery.refresh_degradation()
         breakdown = node.battery.last_breakdown
         if breakdown is not None:
             node.metrics.cycle_aging = breakdown.cycle
             node.metrics.calendar_aging = breakdown.calendar
-        sim.service.set_degradation(node.node_id, degradation)
-    for node in nodes:
+        yield node
+
+
+def _refresh_batch(sim, now_s: float, shared_solar) -> None:
+    """One degradation refresh: settle every node, recompute, disseminate."""
+    started = time.perf_counter()
+    compact = sim.config.effective_compact_trace()
+    exempt = sim.config.effective_sample_nodes() if compact else None
+    for node in _settle_and_refresh(sim, now_s, shared_solar):
+        if compact and (exempt is None or node.node_id not in exempt):
+            node.battery.trace.compact_tail()
+        sim.service.set_degradation(node.node_id, node.metrics.degradation)
+    for node in sim.nodes.values():
         node.mac.set_normalized_degradation(
             sim.service.normalized_degradation(node.node_id)
         )
     sim._record_refresh_wall(now_s, time.perf_counter() - started)
+    if sim._trace is not None:
+        sim._trace.emit(
+            now_s, "wu", "wu.recomputed", severity="debug", nodes=len(sim.nodes)
+        )
+
+
+def finalize(sim, duration_s: float) -> None:
+    """Settle every node to the horizon and take its final degradation."""
+    started = time.perf_counter()
+    shared_solar = next(iter(sim.nodes.values())).harvester.solar
+    for node in _settle_and_refresh(sim, duration_s, shared_solar):
+        node.metrics.final_soc = node.battery.soc
+    sim._record_refresh_wall(duration_s, time.perf_counter() - started)
 
 
 def run_sweep(sim) -> List[MonthlySample]:
-    """Execute the full event sweep through the vectorized kernels.
+    """Execute the full event sweep through the batched kernels.
 
-    Produces the same metrics, packet log, degradation refreshes and
-    heap accounting as ``MesoscopicSimulator._run_sweep``.  Loop state
-    lives in the same (checkpointable) :class:`_SweepState`, so this
-    path writes and resumes the same snapshots as the scalar sweep.
+    Loop state lives in the simulator's (checkpointable)
+    :class:`_SweepState`, so a snapshot taken mid-sweep resumes here.
     """
     config = sim.config
     window_s = config.window_s

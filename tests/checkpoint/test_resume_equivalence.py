@@ -22,6 +22,7 @@ from repro.checkpoint import (
 from repro.constants import SECONDS_PER_DAY
 from repro.faults import FaultPlan
 from repro.sim import MesoscopicSimulator, SimulationConfig, Simulator
+from tests.sim.meso_reference import ScalarMesoscopicSimulator
 
 #: Cadences exercised: mid-day (no alignment with any period/window
 #: boundary) and a clean period-boundary fraction of a day.
@@ -132,8 +133,8 @@ class TestMesoscopicEngine:
     @pytest.mark.parametrize("cadence", sorted(CADENCES))
     def test_scalar_sweep(self, tmp_path, cadence):
         reference, resumed = run_and_resume(
-            MesoscopicSimulator,
-            meso_config(vectorized=False),
+            ScalarMesoscopicSimulator,
+            meso_config(),
             tmp_path,
             CADENCES[cadence],
         )
@@ -143,7 +144,7 @@ class TestMesoscopicEngine:
     def test_vectorized_sweep(self, tmp_path, cadence):
         reference, resumed = run_and_resume(
             MesoscopicSimulator,
-            meso_config(vectorized=True),
+            meso_config(),
             tmp_path,
             CADENCES[cadence],
         )
@@ -152,18 +153,41 @@ class TestMesoscopicEngine:
     def test_resume_from_newest_checkpoint(self, tmp_path):
         reference, resumed = run_and_resume(
             MesoscopicSimulator,
-            meso_config(vectorized=True),
+            meso_config(),
             tmp_path,
             CADENCES["boundary"],
             pick=-1,
         )
         assert_equivalent(reference, resumed)
 
+    def test_trace_file_byte_identical(self, tmp_path):
+        trace_path = str(tmp_path / "trace.jsonl")
+        config = meso_config(trace=True, trace_path=trace_path)
+        reference, resumed = run_and_resume(
+            MesoscopicSimulator, config, tmp_path, CADENCES["midday"]
+        )
+        assert_equivalent(reference, resumed)
+        reference_copy = str(tmp_path / "trace_reference.jsonl")
+        rerun_dir = tmp_path / "rerun"
+        rerun_dir.mkdir()
+        shutil.copyfile(trace_path, reference_copy)
+        # the file the resumed run finished must equal a from-scratch
+        # traced run's file byte for byte
+        MesoscopicSimulator(
+            config.replace(
+                checkpoint_every_s=CADENCES["midday"],
+                checkpoint_dir=str(rerun_dir),
+            )
+        ).run()
+        assert_trace_files_identical(trace_path, reference_copy)
+
 
 class TestCheckpointingIsObservationOnly:
     def test_checkpointing_does_not_change_results(self, tmp_path):
-        config = meso_config(vectorized=False)
-        plain = MesoscopicSimulator(config).run()
+        # The plain run is the scalar oracle, so this also holds the
+        # checkpointed batched sweep to the oracle's results.
+        config = meso_config()
+        plain = ScalarMesoscopicSimulator(config).run()
         checkpointed = MesoscopicSimulator(
             config.replace(
                 checkpoint_every_s=CADENCES["boundary"],

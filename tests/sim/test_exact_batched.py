@@ -2,8 +2,9 @@
 
 The batched period handler must reproduce the scalar reference run bit
 for bit — same events in the same order, same RNG draws, same metrics —
-for every MAC policy and forecaster family, because ``exact_batched``
-is excluded from the config identity hash on exactly that promise.
+for every MAC policy and forecaster family, because the engine picks
+the drain itself (no config field names it) on exactly that promise.
+The reference runs force the one-at-a-time drain from the test side.
 """
 
 import pickle
@@ -11,7 +12,6 @@ import pickle
 import pytest
 
 from repro.faults import FaultPlan, NodeReboot
-from repro.obs import config_hash
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulator, run_simulation
 from repro.sim.events import EventQueue
@@ -25,8 +25,21 @@ BASE = dict(
 )
 
 
+def _unbatched(sim):
+    """Stand-in for ``Simulator._bind_batch_dispatch``: never batch."""
+    sim.queue.dispatch_batch = None
+    sim.queue.batch_kinds = frozenset()
+
+
+def run_one_at_a_time(config):
+    """Run ``config`` through the exact engine's one-at-a-time drain."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Simulator, "_bind_batch_dispatch", _unbatched)
+        return run_simulation(config)
+
+
 def _assert_identical(config):
-    ref = run_simulation(config.replace(exact_batched=False))
+    ref = run_one_at_a_time(config)
     fast = run_simulation(config)
     assert fast.events_executed == ref.events_executed
     assert fast.uplinks_received == ref.uplinks_received
@@ -85,11 +98,6 @@ class TestBatchingGuards:
         assert sim.queue.batch_kinds == frozenset({"period"})
         assert sim.queue.dispatch_batch is not None
 
-    def test_disabled_by_flag(self):
-        sim = Simulator(SimulationConfig(**BASE, exact_batched=False))
-        assert sim.queue.batch_kinds == frozenset()
-        assert sim.queue.dispatch_batch is None
-
     def test_disabled_under_tracing(self):
         sim = Simulator(SimulationConfig(**BASE, trace=True))
         assert sim.queue.batch_kinds == frozenset()
@@ -97,12 +105,6 @@ class TestBatchingGuards:
     def test_disabled_under_packet_recording(self):
         sim = Simulator(SimulationConfig(**BASE, record_packets=True))
         assert sim.queue.batch_kinds == frozenset()
-
-    def test_excluded_from_config_hash(self):
-        config = SimulationConfig(**BASE)
-        assert config_hash(config) == config_hash(
-            config.replace(exact_batched=False)
-        )
 
     def test_queue_pickle_drops_hook_keeps_kinds(self):
         sim = Simulator(SimulationConfig(**BASE))

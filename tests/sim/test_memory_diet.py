@@ -3,8 +3,8 @@
 Diet mode trades bounded, documented approximations (coarser settle
 chunks and shading grid, float32 shading) for flat memory: compact SoC
 traces, capped memo/caches, and counter-only packet logs outside
-``sample_nodes``.  Within one profile the scalar and vectorized engines
-must still agree bitwise.
+``sample_nodes``.  Within one profile the batched sweep and its scalar
+test oracle must still agree bitwise.
 """
 
 import dataclasses
@@ -17,6 +17,7 @@ from repro.energy import SolarModel
 from repro.energy.harvester import Harvester
 from repro.exceptions import ConfigurationError
 from repro.sim import SimulationConfig, run_mesoscopic
+from tests.sim.meso_reference import ScalarMesoscopicSimulator
 
 
 def diet_config(**overrides):
@@ -114,8 +115,8 @@ class TestDietRuns:
                 for nid, m in sorted(result.metrics.nodes.items())
             }
 
-        vec = run_mesoscopic(diet_config(vectorized=True))
-        scalar = run_mesoscopic(diet_config(vectorized=False))
+        vec = run_mesoscopic(diet_config())
+        scalar = ScalarMesoscopicSimulator(diet_config()).run()
         assert fingerprint(vec) == fingerprint(scalar)
 
     def test_diet_stays_physically_sane(self):

@@ -12,6 +12,7 @@ from repro.sim import (
     run_mesoscopic,
 )
 from repro.sim.mesoscopic import MesoNode, WindowEntry
+from repro.sim.mesoscopic_vec import _settle_items
 from repro.energy import CloudProcess
 from repro.lora import LogDistanceLink
 
@@ -194,8 +195,17 @@ class TestPolicyComparisons:
         assert results["H-50"].metrics.avg_prr >= results["LoRaWAN"].metrics.avg_prr
 
 
+def settle_to(node, now_s, extra_demand_j=0.0):
+    """Settle one node through the sweep's batched settle; its shortfall."""
+    return _settle_items(
+        [(node, now_s, extra_demand_j)],
+        node.harvester.solar,
+        node.config.settle_chunk_s(),
+    )[0]
+
+
 class TestSettleTo:
-    """Edge cases of the chunked energy settle used by both sweep paths."""
+    """Edge cases of the chunked energy settle of the mesoscopic sweep."""
 
     @staticmethod
     def make_node(**overrides):
@@ -204,27 +214,27 @@ class TestSettleTo:
 
     def test_zero_duration_is_noop(self):
         node = self.make_node()
-        node.settle_to(3600.0)
+        settle_to(node, 3600.0)
         stored = node.battery.stored_j
-        shortfall = node.settle_to(3600.0)
+        shortfall = settle_to(node, 3600.0)
         assert shortfall == 0.0
         assert node.settled_until_s == 3600.0
         assert node.battery.stored_j == stored
 
     def test_past_frontier_clamps(self):
         node = self.make_node()
-        node.settle_to(7200.0)
+        settle_to(node, 7200.0)
         stored = node.battery.stored_j
-        shortfall = node.settle_to(100.0)
+        shortfall = settle_to(node, 100.0)
         assert shortfall == 0.0
         assert node.settled_until_s == 7200.0
         assert node.battery.stored_j == stored
 
     def test_same_instant_extra_demand_applies_directly(self):
         node = self.make_node()
-        node.settle_to(3600.0)
+        settle_to(node, 3600.0)
         stored = node.battery.stored_j
-        shortfall = node.settle_to(3600.0, extra_demand_j=0.5)
+        shortfall = settle_to(node, 3600.0, extra_demand_j=0.5)
         assert shortfall == 0.0
         assert node.battery.stored_j == pytest.approx(stored - 0.5)
         assert node.settled_until_s == 3600.0
@@ -232,7 +242,7 @@ class TestSettleTo:
     def test_same_instant_demand_beyond_charge_reports_shortfall(self):
         node = self.make_node(initial_soc=0.01)
         stored = node.battery.stored_j
-        shortfall = node.settle_to(0.0, extra_demand_j=stored + 2.0)
+        shortfall = settle_to(node, 0.0, extra_demand_j=stored + 2.0)
         assert shortfall == pytest.approx(2.0)
         assert node.battery.stored_j == 0.0
 
@@ -243,8 +253,8 @@ class TestSettleTo:
         plain = self.make_node()
         loaded = self.make_node()
         span = plain.config.window_s * 12.0  # several 5-window chunks
-        plain.settle_to(span)
-        loaded.settle_to(span, extra_demand_j=0.25)
+        settle_to(plain, span)
+        settle_to(loaded, span, extra_demand_j=0.25)
         assert loaded.battery.stored_j == pytest.approx(
             plain.battery.stored_j - 0.25
         )
@@ -252,6 +262,6 @@ class TestSettleTo:
     def test_frontier_advances_monotonically(self):
         node = self.make_node()
         for now in (600.0, 1800.0, 1200.0, 5400.0):
-            node.settle_to(now)
+            settle_to(node, now)
             assert node.settled_until_s >= now
         assert node.settled_until_s == 5400.0

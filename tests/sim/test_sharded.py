@@ -18,6 +18,7 @@ from repro.sim import SimulationConfig, run_mesoscopic
 from repro.sim.sharded import run_sharded
 from repro.sweep.executor import CrashSpec
 from repro.sweep.spec import VOLATILE_MANIFEST_KEYS
+from tests.sim.meso_reference import ScalarMesoscopicSimulator
 
 
 def sharded_config(**overrides):
@@ -101,9 +102,14 @@ class TestShardCountInvariance:
         ]
         assert fingerprint(results[0]) == fingerprint(results[1])
 
-    def test_scalar_and_vectorized_sharded_identical(self):
-        vec = run_sharded(sharded_config(shards=2, vectorized=True))
-        scalar = run_sharded(sharded_config(shards=2, vectorized=False))
+    def test_scalar_and_vectorized_sharded_identical(self, monkeypatch):
+        vec = run_sharded(sharded_config(shards=2))
+        # Cells build their simulator through this name; forked shard
+        # workers inherit the patch.
+        monkeypatch.setattr(
+            "repro.sim.sharded.MesoscopicSimulator", ScalarMesoscopicSimulator
+        )
+        scalar = run_sharded(sharded_config(shards=2))
         assert fingerprint(vec) == fingerprint(scalar)
 
 

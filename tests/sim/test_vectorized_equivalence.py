@@ -1,7 +1,8 @@
 """Scalar-vs-vectorized mesoscopic equivalence battery.
 
-The vectorized fast path (:mod:`repro.sim.mesoscopic_vec`) claims
-*bit-identical* results to the scalar reference sweep — same RNG draws,
+The batched sweep (:mod:`repro.sim.mesoscopic_vec`) claims
+*bit-identical* results to the scalar one-event-at-a-time sweep kept as
+the test oracle (:mod:`tests.sim.meso_reference`) — same RNG draws,
 same float operation order — not approximate agreement.  These tests
 enforce that across seeds, MAC policies, forecasters, jittered boots,
 and fault-plan configurations: every per-node metric, packet record,
@@ -19,6 +20,7 @@ import pytest
 from repro.constants import SECONDS_PER_DAY
 from repro.faults import FaultPlan
 from repro.sim import SimulationConfig, run_mesoscopic
+from tests.sim.meso_reference import ScalarMesoscopicSimulator
 
 
 def vec_config(**overrides):
@@ -35,8 +37,8 @@ def vec_config(**overrides):
 
 
 def run_pair(config):
-    scalar = run_mesoscopic(config.replace(vectorized=False))
-    vec = run_mesoscopic(config.replace(vectorized=True))
+    scalar = ScalarMesoscopicSimulator(config).run()
+    vec = run_mesoscopic(config)
     return scalar, vec
 
 
@@ -146,14 +148,12 @@ class TestVariants:
         assert_equivalent(scalar, vec)
 
 
-class TestTracingFallback:
-    def test_trace_enabled_runs_scalar_path(self):
-        # Tracing pins the run to the scalar sweep even when the config
-        # requests vectorized execution; results stay identical.
-        config = vec_config(seed=5, record_packets=False).as_h(0.5)
-        traced = run_mesoscopic(config.replace(trace=True, vectorized=True))
-        scalar = run_mesoscopic(config.replace(vectorized=False))
-        for node_id, scalar_metrics in scalar.metrics.nodes.items():
-            vec_vars = vars(traced.metrics.nodes[node_id])
-            for key, value in vars(scalar_metrics).items():
-                assert_values_close(f"{node_id}.{key}", value, vec_vars[key])
+class TestTracing:
+    def test_traced_run_matches_untraced(self):
+        # Tracing only observes the batched sweep; every result, heap
+        # counter and packet record stays identical.
+        config = vec_config(seed=5).as_h(0.5)
+        untraced = run_mesoscopic(config)
+        traced = run_mesoscopic(config.replace(trace=True))
+        assert traced.obs.trace.emitted > 0
+        assert_equivalent(untraced, traced)

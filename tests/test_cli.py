@@ -137,16 +137,6 @@ class TestKernelFlags:
         assert "repro_kernel_calls_total" in names
         assert "repro_kernel_wall_seconds_total" in names
 
-    def test_no_exact_batched_same_results(self, capsys):
-        args = ["simulate", "--nodes", "5", "--days", "0.5",
-                "--engine", "exact", "--json"]
-        main(args)
-        batched = json.loads(capsys.readouterr().out)
-        main(args + ["--no-exact-batched"])
-        scalar = json.loads(capsys.readouterr().out)
-        assert batched["metrics"] == scalar["metrics"]
-        assert batched["manifest"]["config_hash"] == scalar["manifest"]["config_hash"]
-
 
 class TestTraceCommand:
     @pytest.fixture()
