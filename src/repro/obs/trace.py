@@ -236,13 +236,43 @@ class TraceBus:
             node_id=node_id,
             fields=fields,
         )
+        if self._held is not None:
+            self._held.append(event)
+        else:
+            self._record(event)
+        return True
+
+    def _record(self, event: TraceEvent) -> None:
+        """Retain an accepted event and pass it to the sink."""
         if len(self._events) == self.capacity:
             self.dropped += 1
         self._events.append(event)
         self.emitted += 1
         if self._sink is not None:
             self._sink(event)
-        return True
+
+    #: Accepted events collected since :meth:`hold`; None while publishing.
+    _held: Optional[List[TraceEvent]] = None
+
+    def hold(self) -> None:
+        """Collect accepted events instead of publishing them.
+
+        A batched handler works on a cohort phase by phase; it holds
+        what one node emits in an early phase and publishes it at the
+        node's slot in a later one, so the stream keeps the order of
+        handling one node at a time.
+        """
+        self._held = []
+
+    def release(self) -> List[TraceEvent]:
+        """End :meth:`hold`; returns the collected events, in order."""
+        held, self._held = self._held, None
+        return held
+
+    def publish(self, events: Iterable[TraceEvent]) -> None:
+        """Publish events :meth:`release` returned, in order."""
+        for event in events:
+            self._record(event)
 
     # ------------------------------------------------------------ inspection
 

@@ -257,7 +257,7 @@ class Simulator:
         elif kind == "attempt_end":
             self._on_attempt_end(*args)
         elif kind == "period":
-            self._on_period(*args)
+            self._on_period_batch(list(args))
         elif kind == "refresh":
             self._on_refresh(*args)
         elif kind == "reboot":
@@ -268,21 +268,9 @@ class Simulator:
             raise SchedulingError(f"unknown event kind {kind!r}")
 
     def _bind_batch_dispatch(self) -> None:
-        """Enable the batched event drain when it is provably inert.
-
-        Tracing and packet recording interleave their per-node output
-        inside each scalar handler; the batched handler phases its work
-        (settle/forecast for all, then one vector decision, then
-        scheduling), which would reorder those streams.  Results would
-        still be identical, but byte-identical observability is part of
-        the fast path's contract — so those runs keep the scalar drain.
-        """
-        if self._trace is None and self.packet_log is None:
-            self.queue.dispatch_batch = self._dispatch_batch
-            self.queue.batch_kinds = frozenset({"period"})
-        else:
-            self.queue.dispatch_batch = None
-            self.queue.batch_kinds = frozenset()
+        """Let the queue pop same-instant period runs as one cohort."""
+        self.queue.dispatch_batch = self._dispatch_batch
+        self.queue.batch_kinds = frozenset({"period"})
 
     def _dispatch_batch(self, kind: str, batch: List[tuple]) -> None:
         """Route a same-instant run of named events popped in one go."""
@@ -444,69 +432,73 @@ class Simulator:
             return
         self.queue.schedule_event(when_s, "period", node)
 
-    def _on_period(self, node: EndDevice) -> None:
-        self._events_executed += 1
-        now = self.queue.now_s
-        if node.packet is not None:
-            # Previous packet still in flight at its deadline: fail it.
-            node.finish_packet(now, delivered=False, latency_s=node.period_s)
-        if (
-            self.injector is not None
-            and isinstance(node.mac, BatteryLifespanAwareMac)
-            and node.mac.weight_is_stale(now)
-        ):
-            self.injector.record_stale_weight_period()
-        first_attempt = node.start_period(now)
-        if first_attempt is not None:
-            if self.injector is not None:
-                # Clock skew displaces the node's view of the window
-                # boundary (never before the packet exists).
-                first_attempt = self.injector.skew_attempt(
-                    node.node_id, first_attempt, now
-                )
-            packet = node.packet
-            self.queue.schedule_event(first_attempt, "attempt", node, packet)
-        self._schedule_period(node, now + node.period_s)
-
     def _on_period_batch(self, nodes: List[EndDevice]) -> None:
         """Same-instant period cohort, decided in one vector pass.
 
-        Nodes arrive in exact heap pop order.  The handler phases the
-        scalar :meth:`_on_period` body — per-node settle/forecast, one
-        batched Algorithm-1 scoring, per-node packet/scheduling — in a
-        way that preserves every observable ordering: all cross-node
-        state (RNG streams, estimators, batteries) is touched per node
-        in pop order, and the scheduling loop assigns the exact sequence
-        numbers the scalar drain would (no handler schedules between two
+        The exact engine's only period handler; a lone period event is a
+        one-node cohort.  Nodes arrive in exact heap pop order and the
+        work runs in three phases: per node, fail the packet still in
+        flight, settle, forecast and take the ``w_u`` steering the
+        decision; one batched Algorithm 1 scoring; per node, packet
+        generation and attempt scheduling.  All cross-node state (RNG
+        streams, estimators, batteries) is touched per node in pop
+        order, and the scheduling loop assigns the sequence numbers a
+        one-at-a-time drain would (no handler schedules between two
         same-instant periods).  Nominal attempt energies feeding the
         scorer come from the shared :class:`~repro.lora.AirtimeTable`
         entries each node resolved at build time.
+
+        Traced and packet-logging runs hold each node's first-phase
+        trace events and packet records and publish them at the node's
+        slot in the last phase, followed by its ``window.selected``, so
+        both streams come out as the one-at-a-time drain writes them.
         """
         now = self.queue.now_s
         self._events_executed += len(nodes)
+        streams = [s for s in (self._trace, self.packet_log) if s is not None]
+        held = []
         forecasts = []
+        weights = []
         for node in nodes:
+            for stream in streams:
+                stream.hold()
             if node.packet is not None:
                 # Previous packet still in flight at its deadline: fail it.
                 node.finish_packet(now, delivered=False, latency_s=node.period_s)
+            aware = isinstance(node.mac, BatteryLifespanAwareMac)
             if (
                 self.injector is not None
-                and isinstance(node.mac, BatteryLifespanAwareMac)
+                and aware
                 and node.mac.weight_is_stale(now)
             ):
                 self.injector.record_stale_weight_period()
             forecasts.append(node.begin_period(now))
+            weights.append(node.mac.effective_degradation(now) if aware else None)
+            if streams:
+                held.append([stream.release() for stream in streams])
         prof = hot_profiler()
         if prof.enabled:
             started = time.perf_counter()
-            decisions = self._batch_window_decisions(nodes, forecasts, now)
+            decisions = self._batch_window_decisions(nodes, forecasts, weights, now)
             prof.add("engine.period_batch", time.perf_counter() - started)
         else:
-            decisions = self._batch_window_decisions(nodes, forecasts, now)
-        for node, decision in zip(nodes, decisions):
+            decisions = self._batch_window_decisions(nodes, forecasts, weights, now)
+        trace_window = self._trace is not None and self._trace.wants(
+            "window", "debug"
+        )
+        for i, (node, decision) in enumerate(zip(nodes, decisions)):
+            if held:
+                for stream, items in zip(streams, held[i]):
+                    stream.publish(items)
+                if trace_window and weights[i] is not None:
+                    node.mac.emit_selection(
+                        now, decision, weights[i], node.battery.stored_j
+                    )
             first_attempt = node.finish_period_decision(now, decision)
             if first_attempt is not None:
                 if self.injector is not None:
+                    # Clock skew displaces the node's view of the window
+                    # boundary (never before the packet exists).
                     first_attempt = self.injector.skew_attempt(
                         node.node_id, first_attempt, now
                     )
@@ -519,25 +511,23 @@ class Simulator:
         self,
         nodes: List[EndDevice],
         forecasts: List[list],
+        weights: List[object],
         now: float,
     ) -> List[WindowDecision]:
         """Per-node window decisions, vectorized where the MAC allows.
 
-        Lifespan-aware MACs go through the padded mixed-|T| batch scorer
-        (bit-identical per row to the scalar Algorithm 1, estimator side
-        effects in pop order); immediate-transmit baselines consult
-        their scalar :meth:`~repro.core.MacPolicy.choose_window` — it is
-        a constant-time decision with nothing to vectorize.
+        Lifespan-aware MACs (the nodes with a ``w_u`` in ``weights``) go
+        through the padded mixed-|T| batch scorer, each row
+        bit-identical to the scalar Algorithm 1; immediate-transmit
+        baselines consult their scalar
+        :meth:`~repro.core.MacPolicy.choose_window` — it is a
+        constant-time decision with nothing to vectorize.
         """
         decisions: List[object] = [None] * len(nodes)
-        aware = [
-            i
-            for i, node in enumerate(nodes)
-            if isinstance(node.mac, BatteryLifespanAwareMac)
-        ]
-        aware_set = set(aware)
+        aware = []
         for i, node in enumerate(nodes):
-            if i in aware_set:
+            if weights[i] is not None:
+                aware.append(i)
                 continue
             decisions[i] = node.mac.choose_window(
                 PeriodContext(
@@ -549,8 +539,7 @@ class Simulator:
             )
         if aware:
             counts = [len(forecasts[i]) for i in aware]
-            widest = max(counts)
-            green = np.zeros((len(aware), widest))
+            green = np.zeros((len(aware), max(counts)))
             for row, i in enumerate(aware):
                 green[row, : counts[row]] = forecasts[i]
             batch = batch_choose_windows_mixed(
@@ -559,18 +548,10 @@ class Simulator:
                 green,
                 [nodes[i].attempt_energy_j for i in aware],
                 counts,
-                now,
+                [weights[i] for i in aware],
             )
             for row, i in enumerate(aware):
-                ok = bool(batch.success[row])
-                count = counts[row]
-                decisions[i] = WindowDecision(
-                    success=ok,
-                    window_index=int(batch.window_index[row]) if ok else None,
-                    scores=batch.scores[row, :count].tolist(),
-                    utilities=batch.utilities[row, :count].tolist(),
-                    difs=batch.difs[row, :count].tolist(),
-                )
+                decisions[i] = batch.row(row, counts[row])
         return decisions
 
     def _on_attempt(self, node: EndDevice, packet) -> None:
@@ -587,8 +568,9 @@ class Simulator:
             return
         if not node.draw_attempt_energy(now):
             # Brown-out: battery cannot fund the attempt.
-            node.metrics.packets_dropped_energy += 1
-            node.finish_packet(now, delivered=False, latency_s=node.period_s)
+            node.finish_packet(
+                now, delivered=False, latency_s=node.period_s, energy_drop=True
+            )
             if self.injector is not None and self.injector.reboot_on_brownout:
                 self._reboot_node(node)
             return

@@ -16,8 +16,9 @@ and executes it with three batched kernels:
   of the fused settle pass :func:`repro.kernels.settle.recurrence`
   (switch, battery, SoC trace and rainflow in the scalar operation
   order), the same pass the exact engine settles through.
-* **Batched Algorithm 1** — :func:`repro.core.mac.batch_choose_windows`
-  scores a node × window matrix per period-length cohort.
+* **Batched Algorithm 1** — :func:`repro.core.mac.batch_choose_windows_mixed`
+  scores one node × window matrix per cohort, rows padded to the widest
+  ``|T|``.
 
 Results are bit-identical to processing one heap event at a time: every
 random draw comes from the same generator in the same order, and every
@@ -274,7 +275,7 @@ def _start_period_batch(
             green,
             [node.attempt_energy_j for node in batch],
             counts,
-            now_s,
+            [node.mac.effective_degradation(now_s) for node in batch],
         )
         utilities = result.chosen_utilities()
         for i in range(len(batch)):

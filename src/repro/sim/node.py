@@ -18,7 +18,6 @@ from ..battery import Battery, TransitionReport
 from ..core import (
     ConfirmedUplinkRetrier,
     MacPolicy,
-    PeriodContext,
     WindowDecision,
     uniform_offset_in_window,
 )
@@ -225,29 +224,12 @@ class EndDevice:
 
     # ------------------------------------------------------------- protocol
 
-    def start_period(self, now_s: float) -> Optional[float]:
-        """Generate this period's packet and run the MAC decision.
-
-        Returns the absolute time of the first transmission attempt, or
-        None when the MAC returned FAIL (packet dropped for energy).
-        """
-        forecast = self.begin_period(now_s)
-        context = PeriodContext(
-            battery_energy_j=self.battery.stored_j,
-            green_forecast_j=forecast,
-            nominal_tx_energy_j=self.attempt_energy_j,
-            period_start_s=now_s,
-        )
-        decision = self.mac.choose_window(context)
-        return self.finish_period_decision(now_s, decision)
-
     def begin_period(self, now_s: float):
         """Settle, count the generated packet, and forecast this period.
 
-        First half of :meth:`start_period`; the batched exact engine
-        runs it for every same-instant node before computing the window
-        decisions in one vector pass.  Returns the green-energy forecast
-        the MAC decision needs.
+        The exact engine runs it for every node of a same-instant cohort
+        before deciding their windows in one vector pass.  Returns the
+        green-energy forecast the MAC decision needs.
         """
         self.settle_to(now_s)
         self.metrics.record_generated()
@@ -260,9 +242,9 @@ class EndDevice:
     ) -> Optional[float]:
         """Apply a window decision: bookkeeping, packet state, schedule.
 
-        Second half of :meth:`start_period` — everything after the MAC
-        consultation, shared verbatim by the scalar and batched paths.
-        Returns the absolute first-attempt time, or None on FAIL.
+        Everything after the MAC consultation of :meth:`begin_period`'s
+        forecast.  Returns the absolute first-attempt time, or None on
+        FAIL (packet dropped for energy).
         """
         if not decision.success or decision.window_index is None:
             self.metrics.record_failure(0, 0.0, energy_drop=True)
@@ -332,13 +314,19 @@ class EndDevice:
         self.forecaster.observe(window_start_s, self.window_s, actual)
 
     def finish_packet(
-        self, now_s: float, delivered: bool, latency_s: float
+        self,
+        now_s: float,
+        delivered: bool,
+        latency_s: float,
+        energy_drop: bool = False,
     ) -> Optional[TransitionReport]:
         """Close out the current packet; returns the piggyback report.
 
         Updates metrics and the MAC estimators; the returned report is
         what the *next* uplink would carry (the paper appends transition
         data for the previous period to the subsequent packet).
+        ``energy_drop`` marks a failure caused by a brown-out, in the
+        metrics and in the packet log alike.
         """
         packet = self.packet
         if packet is None:
@@ -357,7 +345,9 @@ class EndDevice:
             )
         else:
             self.metrics.record_failure(
-                retransmissions=retx, tx_energy_j=packet.tx_energy_metric_j
+                retransmissions=retx,
+                tx_energy_j=packet.tx_energy_metric_j,
+                energy_drop=energy_drop,
             )
         self.mac.observe_result(window, retx, packet.battery_energy_j)
         if self.trace is not None:
@@ -384,7 +374,7 @@ class EndDevice:
                     delivered=delivered,
                     latency_s=latency_s,
                     utility=packet.decision.utility if delivered else 0.0,
-                    energy_drop=not delivered and not attempted,
+                    energy_drop=energy_drop,
                 )
             )
         self.observe_window_energy(

@@ -22,7 +22,7 @@ import csv
 import io
 from collections import deque
 from dataclasses import dataclass, fields
-from typing import Callable, Deque, Iterator, List, Optional
+from typing import Callable, Deque, Iterable, Iterator, List, Optional
 
 from ..exceptions import ConfigurationError
 
@@ -96,8 +96,32 @@ class PacketLog:
         """The retained node-id set, or None when everything is stored."""
         return self._sample_nodes
 
+    #: Records collected since :meth:`hold`; None while appending.
+    _held: Optional[List[PacketRecord]] = None
+
+    def hold(self) -> None:
+        """Collect appended records instead of logging them.
+
+        The counterpart of :meth:`repro.obs.TraceBus.hold`: a batched
+        handler publishes the released records at the node's slot.
+        """
+        self._held = []
+
+    def release(self) -> List[PacketRecord]:
+        """End :meth:`hold`; returns the collected records, in order."""
+        held, self._held = self._held, None
+        return held
+
+    def publish(self, records: Iterable[PacketRecord]) -> None:
+        """Append records :meth:`release` returned, in order."""
+        for record in records:
+            self.append(record)
+
     def append(self, record: PacketRecord) -> None:
         """Add a record, evicting the oldest stored one past capacity."""
+        if self._held is not None:
+            self._held.append(record)
+            return
         self.generated += 1
         self.attempts += record.attempts
         if record.delivered:

@@ -29,7 +29,7 @@ class TestSinkFlushOnEngineDeath:
         path = str(tmp_path / "trace.jsonl")
         sim = Simulator(traced_config(trace_path=path))
         calls = {"n": 0}
-        original = Simulator._on_period
+        original = Simulator._on_period_batch
 
         def dying(self, *args):
             calls["n"] += 1
@@ -37,7 +37,7 @@ class TestSinkFlushOnEngineDeath:
                 raise RuntimeError("mid-run explosion")
             return original(self, *args)
 
-        monkeypatch.setattr(Simulator, "_on_period", dying)
+        monkeypatch.setattr(Simulator, "_on_period_batch", dying)
         with pytest.raises(RuntimeError, match="mid-run explosion"):
             sim.run()
         events = list(iter_jsonl(path))

@@ -1,20 +1,19 @@
-"""Exact-engine batched fast path: batched drain ≡ one-at-a-time drain.
+"""Exact-engine batched period pass: batched drain ≡ one-at-a-time drain.
 
 The batched period handler must reproduce the scalar reference run bit
 for bit — same events in the same order, same RNG draws, same metrics —
-for every MAC policy and forecaster family, because the engine picks
-the drain itself (no config field names it) on exactly that promise.
-The reference runs force the one-at-a-time drain from the test side.
+for every MAC policy and forecaster family, because it is the engine's
+only period handler.  The reference runs are the one-at-a-time oracle
+(:mod:`tests.sim.exact_reference`).
 """
 
 import pickle
-
-import pytest
 
 from repro.faults import FaultPlan, NodeReboot
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulator, run_simulation
 from repro.sim.events import EventQueue
+from tests.sim.exact_reference import ScalarSimulator
 
 
 BASE = dict(
@@ -25,17 +24,9 @@ BASE = dict(
 )
 
 
-def _unbatched(sim):
-    """Stand-in for ``Simulator._bind_batch_dispatch``: never batch."""
-    sim.queue.dispatch_batch = None
-    sim.queue.batch_kinds = frozenset()
-
-
 def run_one_at_a_time(config):
-    """Run ``config`` through the exact engine's one-at-a-time drain."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Simulator, "_bind_batch_dispatch", _unbatched)
-        return run_simulation(config)
+    """Run ``config`` through the one-at-a-time oracle."""
+    return ScalarSimulator(config).run()
 
 
 def _assert_identical(config):
@@ -74,8 +65,8 @@ class TestBatchedRunEquivalence:
         )
 
     def test_staggered_starts_degenerate_batches(self):
-        # Unsynchronized offsets are continuous uniforms: batches are
-        # size 1 and the fast path must degrade to the scalar drain.
+        # Unsynchronized offsets are continuous uniforms: cohorts are
+        # single nodes, each scored as a one-row batch.
         _assert_identical(
             SimulationConfig(**{**BASE, "synchronized_start": False})
         )
@@ -97,14 +88,6 @@ class TestBatchingGuards:
         sim = Simulator(SimulationConfig(**BASE))
         assert sim.queue.batch_kinds == frozenset({"period"})
         assert sim.queue.dispatch_batch is not None
-
-    def test_disabled_under_tracing(self):
-        sim = Simulator(SimulationConfig(**BASE, trace=True))
-        assert sim.queue.batch_kinds == frozenset()
-
-    def test_disabled_under_packet_recording(self):
-        sim = Simulator(SimulationConfig(**BASE, record_packets=True))
-        assert sim.queue.batch_kinds == frozenset()
 
     def test_queue_pickle_drops_hook_keeps_kinds(self):
         sim = Simulator(SimulationConfig(**BASE))

@@ -9,6 +9,7 @@ from repro.core import BatteryLifespanAwareMac, LorawanAlohaMac
 from repro.energy import Harvester, OracleForecaster, SolarModel
 from repro.lora import ChannelHopper, ChannelPlan, EnergyModel, SpreadingFactor, TxParams
 from repro.sim import EndDevice, NodePlacement
+from tests.sim.exact_reference import start_period
 
 
 def make_placement(period_s=600.0):
@@ -99,7 +100,7 @@ class TestEnergySettlement:
 class TestPeriodProtocol:
     def test_lorawan_transmits_at_period_start(self):
         device = make_device()
-        attempt_time = device.start_period(0.0)
+        attempt_time = start_period(device, 0.0)
         assert attempt_time == 0.0  # pure ALOHA: immediately
         assert device.packet is not None
         assert device.metrics.packets_generated == 1
@@ -109,7 +110,7 @@ class TestPeriodProtocol:
             soc_cap=0.5, max_tx_energy_j=0.132, nominal_tx_energy_j=0.057
         )
         device = make_device(mac=mac)
-        attempt_time = device.start_period(NOON)
+        attempt_time = start_period(device, NOON)
         window = device.packet.decision.window_index
         window_start = NOON + window * 60.0
         assert window_start <= attempt_time <= window_start + 60.0
@@ -120,13 +121,13 @@ class TestPeriodProtocol:
         )
         device = make_device(mac=mac, soc=0.0)
         # Midnight: no green energy, no battery → FAIL.
-        assert device.start_period(0.0) is None
+        assert start_period(device, 0.0) is None
         assert device.packet is None
         assert device.metrics.packets_dropped_energy == 1
 
     def test_finish_packet_delivery_updates_metrics(self):
         device = make_device()
-        device.start_period(0.0)
+        start_period(device, 0.0)
         device.packet.tx_energy_metric_j = 0.03
         report = device.finish_packet(2.0, delivered=True, latency_s=2.0)
         assert device.metrics.packets_delivered == 1
@@ -136,14 +137,14 @@ class TestPeriodProtocol:
 
     def test_finish_packet_failure_penalizes_period(self):
         device = make_device()
-        device.start_period(0.0)
+        start_period(device, 0.0)
         device.finish_packet(40.0, delivered=False, latency_s=600.0)
         assert device.metrics.packets_delivered == 0
         assert device.metrics.avg_latency_s == pytest.approx(600.0)
 
     def test_pending_report_consumed_once(self):
         device = make_device()
-        device.start_period(0.0)
+        start_period(device, 0.0)
         device.finish_packet(2.0, delivered=True, latency_s=2.0)
         assert device.take_pending_report() is not None
         assert device.take_pending_report() is None

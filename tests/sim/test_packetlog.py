@@ -13,6 +13,7 @@ from repro.sim import (
     run_mesoscopic,
     run_simulation,
 )
+from tests.sim import test_exact_golden, test_meso_golden
 
 
 def record(node=0, delivered=True, attempts=1, window=0, **kwargs):
@@ -179,3 +180,30 @@ class TestEngineIntegration:
     def test_windows_recorded_in_log(self, logged_config):
         result = run_mesoscopic(logged_config.as_lorawan())
         assert all(r.window_index == 0 for r in result.packet_log)
+
+
+#: Golden configurations whose batteries brown out, per engine.
+LEDGER_CASES = {
+    "exact-h50-faults": (run_simulation, test_exact_golden._config, "h50-faults"),
+    "exact-lorawan-faults": (
+        run_simulation, test_exact_golden._config, "lorawan-faults-batch-degradation",
+    ),
+    "meso-h50-low-capacity": (run_mesoscopic, test_meso_golden._config, "h50-low-capacity"),
+    "meso-lorawan-low-capacity": (
+        run_mesoscopic, test_meso_golden._config, "lorawan-low-capacity",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEDGER_CASES))
+def test_log_balances_metrics_per_node(name):
+    # One row per generated packet, and the rows' delivered and
+    # energy_drop flags count what the node's metrics count.
+    run, config, case = LEDGER_CASES[name]
+    result = run(config(case).replace(record_packets=True))
+    assert sum(m.packets_dropped_energy for m in result.metrics.nodes.values()) > 0
+    for node_id, metrics in result.metrics.nodes.items():
+        rows = result.packet_log.for_node(node_id)
+        assert len(rows) == metrics.packets_generated
+        assert sum(r.delivered for r in rows) == metrics.packets_delivered
+        assert sum(r.energy_drop for r in rows) == metrics.packets_dropped_energy
